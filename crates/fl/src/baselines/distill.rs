@@ -52,6 +52,7 @@ pub struct DistillState {
     pub temperature: f32,
 }
 
+// Hand-written: every model goes through `Checkpoint::capture`/`restore`.
 impl Serialize for DistillState {
     fn serialize(&self) -> serde::Value {
         serde::Value::Map(vec![

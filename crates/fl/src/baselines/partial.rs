@@ -83,9 +83,9 @@ impl PartialTraining {
             SubmodelScheme::Rolling => 1 + t as u64,
             SubmodelScheme::Random => ((1 + t as u64) << 20) | ((k as u64 + 1) << 1),
         };
-        // Checkpoint JSON carries integers as exact-to-2^53 numbers, so
-        // fingerprints stay within 48 bits; `| 1` keeps clear of
-        // FULL_SHAPE.
+        // The 48-bit mask dates from when checkpoint JSON rounded
+        // integers above 2^53; it stays because committed checkpoints
+        // store these fingerprints. `| 1` keeps clear of FULL_SHAPE.
         (h | 1) & 0xFFFF_FFFF_FFFF
     }
 }

@@ -299,3 +299,41 @@ fn all_planes_async_checkpoint_loads_reserializes_and_resumes_exactly() {
     let fresh = serde_json::to_string(&planes_async().run_until(&env, PLANES_ASYNC_STOP)).unwrap();
     assert_eq!(fresh, json, "the fixture's originating run drifted");
 }
+
+// ------------------------------------------------------ 64-bit integers
+
+/// Seeds and salts at or above 2^53 used to round through the f64 number
+/// model of checkpoint JSON, so `resume` rejected the run's own
+/// checkpoint on the `seed` (and Byzantine-plan salt) check.
+#[test]
+fn seed_above_2_pow_53_resumes_from_its_own_json_checkpoint() {
+    let seed: u64 = (1 << 60) + 1;
+    let mut cfg = FlConfig::fast(4, seed);
+    cfg.n_clients = 12;
+    cfg.clients_per_round = 4;
+    let data = generate(&SynthConfig::tiny(4, 8), 5);
+    let specs = vgg_atom_specs(&VggConfig::tiny(3, 8, 4, &[4]));
+    let env = FlEnv::lazy(data, &CIFAR_POOL, SamplingMode::Balanced, specs, cfg);
+    let build = || {
+        EventScheduler::new(
+            ByzTrainer::new(
+                SyntheticTrainer,
+                RobustRule::FedAvg,
+                Some(AttackPlan {
+                    fraction: 0.25,
+                    salt: 0xDEAD_BEEF_DEAD_BEEF,
+                    kind: AttackKind::GaussNoise { sigma: 0.1 },
+                }),
+            ),
+            SchedConfig::default(),
+        )
+    };
+    let full = build().run(&env);
+    let json = serde_json::to_string(&build().run_until(&env, 2)).unwrap();
+    assert!(json.contains("\"seed\":1152921504606846977"));
+    let ckpt: SchedCheckpoint = serde_json::from_str(&json).unwrap();
+    assert_eq!(ckpt.seed, seed);
+    let resumed = build().resume(&env, &ckpt);
+    assert_eq!(full.ledger, resumed.ledger);
+    assert_eq!(model_hash(&full.model), model_hash(&resumed.model));
+}
